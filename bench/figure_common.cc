@@ -110,14 +110,8 @@ telemetry::TelemetrySnapshot RunLiveSpinTelemetry(double quantum_us, double serv
   runtime.Start();
   std::unique_ptr<trace::MetricsSampler> sampler;
   if (!metrics_path.empty()) {
-    trace::MetricsSampler::Options sampler_options;
-    sampler_options.window_ms = telemetry::MetricsWindowMs(argc, argv);
-    if (metrics_path != "-") {
-      sampler_options.exposition_path = metrics_path + ".prom";
-    }
-    sampler = std::make_unique<trace::MetricsSampler>(
-        sampler_options, [&runtime] { return runtime.GetTelemetry(); });
-    sampler->Start();
+    sampler = trace::StartMetricsSampler(argc, argv, metrics_path,
+                                         [&runtime] { return runtime.GetTelemetry(); });
   }
   // Submit the whole batch up front: the backlog keeps "other work pending"
   // true, so the dispatcher actually requests preemptions (§3.1).
@@ -129,8 +123,7 @@ telemetry::TelemetrySnapshot RunLiveSpinTelemetry(double quantum_us, double serv
   runtime.WaitIdle();
   telemetry::TelemetrySnapshot snapshot = runtime.GetTelemetry();
   if (sampler != nullptr) {
-    sampler->Stop();  // flushes the final partial window
-    sampler->WriteSeries(metrics_path);
+    sampler->StopAndWriteSeries(metrics_path);  // flushes the final window
   }
   runtime.Shutdown();
   if (!trace_path.empty()) {

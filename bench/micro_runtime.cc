@@ -45,8 +45,8 @@ bool BenchTraceEnabled() {
 
 // CONCORD_BENCH_FLIGHT=1: additionally arm the anomaly-triggered flight
 // recorder during the throughput bench with every trigger disabled, so CI
-// can bound the armed-idle cost (background polling + lifecycle buffering,
-// no dumps) against the flight-recorder-off run.
+// can bound the armed-idle cost (lifecycle buffering on the metrics
+// sampler's thread, no dumps) against the flight-recorder-off run.
 bool BenchFlightEnabled() {
   const char* env = std::getenv("CONCORD_BENCH_FLIGHT");
   return env != nullptr && env[0] == '1';
@@ -97,21 +97,19 @@ void BM_PipelinedThroughput(benchmark::State& state) {
   callbacks.handle_request = [](const RequestView&) {};
   Runtime runtime(options, callbacks);
   runtime.Start();
-  std::unique_ptr<trace::MetricsSampler> sampler;
-  if (traced) {
-    sampler = std::make_unique<trace::MetricsSampler>(
-        trace::MetricsSampler::Options{}, [&runtime] { return runtime.GetTelemetry(); });
-    sampler->Start();
-  }
   std::unique_ptr<trace::FlightRecorder> flight;
   if (BenchFlightEnabled()) {
     trace::FlightRecorderOptions flight_options;  // all triggers default-off
     flight_options.dump_path = "/tmp/concord_bench_flight.trace.json";
-    flight_options.worker_count = options.worker_count;
     flight_options.quantum_us = options.quantum_us;
-    flight = std::make_unique<trace::FlightRecorder>(
-        flight_options, [&runtime] { return runtime.GetTelemetry(); });
-    flight->Start();
+    flight = std::make_unique<trace::FlightRecorder>(flight_options);
+  }
+  std::unique_ptr<trace::MetricsSampler> sampler;
+  if (traced || flight != nullptr) {
+    sampler = std::make_unique<trace::MetricsSampler>(
+        trace::MetricsSampler::Options{}, [&runtime] { return runtime.GetTelemetry(); },
+        flight.get());
+    sampler->Start();
   }
   std::uint64_t id = 0;
   // Driver loop on the bench thread, not handler code. concord-lint: allow-no-probe
@@ -125,9 +123,6 @@ void BM_PipelinedThroughput(benchmark::State& state) {
     }
   }
   runtime.WaitIdle();
-  if (flight != nullptr) {
-    flight->Stop();
-  }
   if (sampler != nullptr) {
     sampler->Stop();
   }
@@ -519,14 +514,8 @@ int RunExportWorkload(int argc, char** argv) {
   runtime.Start();
   std::unique_ptr<trace::MetricsSampler> sampler;
   if (!metrics_out.empty()) {
-    trace::MetricsSampler::Options sampler_options;
-    sampler_options.window_ms = telemetry::MetricsWindowMs(argc, argv);
-    if (metrics_out != "-") {
-      sampler_options.exposition_path = metrics_out + ".prom";
-    }
-    sampler = std::make_unique<trace::MetricsSampler>(
-        sampler_options, [&runtime] { return runtime.GetTelemetry(); });
-    sampler->Start();
+    sampler = trace::StartMetricsSampler(argc, argv, metrics_out,
+                                         [&runtime] { return runtime.GetTelemetry(); });
   }
   const std::vector<double> deadline_us = DeadlinesFromArgsOrEnv(argc, argv);
   // Driver loop on the main thread, not handler code. concord-lint: allow-no-probe
@@ -545,8 +534,7 @@ int RunExportWorkload(int argc, char** argv) {
   const telemetry::TelemetrySnapshot snapshot = runtime.GetTelemetry();
   bool ok = true;
   if (sampler != nullptr) {
-    sampler->Stop();  // flushes the final partial window
-    ok = sampler->WriteSeries(metrics_out) && ok;
+    ok = sampler->StopAndWriteSeries(metrics_out) && ok;  // flushes the final window
   }
   runtime.Shutdown();
   if (!trace_out.empty()) {

@@ -293,14 +293,8 @@ int main(int argc, char** argv) {
   runtime.Start();
   std::unique_ptr<concord::trace::MetricsSampler> sampler;
   if (!metrics_out.empty()) {
-    concord::trace::MetricsSampler::Options sampler_options;
-    sampler_options.window_ms = concord::telemetry::MetricsWindowMs(argc, argv);
-    if (metrics_out != "-") {
-      sampler_options.exposition_path = metrics_out + ".prom";
-    }
-    sampler = std::make_unique<concord::trace::MetricsSampler>(
-        sampler_options, [&runtime] { return runtime.GetTelemetry(); });
-    sampler->Start();
+    sampler = concord::trace::StartMetricsSampler(argc, argv, metrics_out,
+                                                  [&runtime] { return runtime.GetTelemetry(); });
   }
   std::printf("serving %llu requests at %.1f kRps (%.1f%% scans, policy=%s, %d shard%s)...\n",
               static_cast<unsigned long long>(count), offered_krps, scan_percent,
@@ -311,8 +305,7 @@ int main(int argc, char** argv) {
   const concord::telemetry::TelemetrySnapshot telemetry = runtime.GetTelemetry();
   bool export_ok = true;
   if (sampler != nullptr) {
-    sampler->Stop();  // flushes the final partial window
-    export_ok = sampler->WriteSeries(metrics_out) && export_ok;
+    export_ok = sampler->StopAndWriteSeries(metrics_out) && export_ok;  // flushes the final window
   }
   runtime.Shutdown();
   if (!trace_out.empty()) {

@@ -93,19 +93,6 @@ int main(int argc, char** argv) {
 
   concord::ShardedRuntime runtime(options, callbacks);
   runtime.Start();
-  std::unique_ptr<concord::trace::MetricsSampler> sampler;
-  // The /metricsz endpoint serves the sampler's Prometheus exposition, so a
-  // statusz port implies sampling even without --metrics-out=.
-  if (!metrics_out.empty() || !statusz_port.empty()) {
-    concord::trace::MetricsSampler::Options sampler_options;
-    sampler_options.window_ms = concord::telemetry::MetricsWindowMs(argc, argv);
-    if (!metrics_out.empty() && metrics_out != "-") {
-      sampler_options.exposition_path = metrics_out + ".prom";
-    }
-    sampler = std::make_unique<concord::trace::MetricsSampler>(
-        sampler_options, [&runtime] { return runtime.GetTelemetry(); });
-    sampler->Start();
-  }
   std::unique_ptr<concord::trace::FlightRecorder> flight;
   if (!flight_dump.empty()) {
     concord::trace::FlightRecorderOptions flight_options;
@@ -115,14 +102,17 @@ int main(int argc, char** argv) {
     flight_options.deadline_miss_burst = 16;
     flight_options.ingress_reject_burst = 256;
     flight_options.p99_slowdown = 500.0;
-    flight_options.tsc_ghz = runtime.GetTelemetry().tsc_ghz;
-    flight_options.worker_count = options.shard.worker_count;
     flight_options.jbsq_depth = options.shard.jbsq_depth;
     flight_options.quantum_us = options.shard.quantum_us;
-    flight_options.policy = concord::PolicyKindName(selection.policy);
-    flight = std::make_unique<concord::trace::FlightRecorder>(
-        flight_options, [&runtime] { return runtime.GetTelemetry(); });
-    flight->Start();
+    flight = std::make_unique<concord::trace::FlightRecorder>(flight_options);
+  }
+  std::unique_ptr<concord::trace::MetricsSampler> sampler;
+  // The /metricsz endpoint serves the sampler's Prometheus exposition and the
+  // flight recorder subscribes to its windows, so either implies sampling
+  // even without --metrics-out=.
+  if (!metrics_out.empty() || !statusz_port.empty() || flight != nullptr) {
+    sampler = concord::trace::StartMetricsSampler(
+        argc, argv, metrics_out, [&runtime] { return runtime.GetTelemetry(); }, flight.get());
   }
   std::unique_ptr<concord::obs::StatusServer> statusz;
   if (!statusz_port.empty()) {
@@ -169,20 +159,15 @@ int main(int argc, char** argv) {
   if (statusz != nullptr) {
     statusz->Stop();
   }
-  if (flight != nullptr) {
-    flight->Stop();
-    if (flight->triggers_fired() > 0) {
-      std::printf("flight recorder: %llu trigger(s), %llu dump(s); last: %s\n",
-                  static_cast<unsigned long long>(flight->triggers_fired()),
-                  static_cast<unsigned long long>(flight->dumps_written()),
-                  flight->last_trigger().c_str());
-    }
-  }
   if (sampler != nullptr) {
-    sampler->Stop();  // flushes the final partial window
-    if (!metrics_out.empty()) {
-      export_ok = sampler->WriteSeries(metrics_out) && export_ok;
-    }
+    // Flushes the final window, into the flight recorder too.
+    export_ok = sampler->StopAndWriteSeries(metrics_out) && export_ok;
+  }
+  if (flight != nullptr && flight->triggers_fired() > 0) {
+    std::printf("flight recorder: %llu trigger(s), %llu dump(s); last: %s\n",
+                static_cast<unsigned long long>(flight->triggers_fired()),
+                static_cast<unsigned long long>(flight->dumps_written()),
+                flight->last_trigger().c_str());
   }
   runtime.Shutdown();
   if (!trace_out.empty()) {

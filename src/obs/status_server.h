@@ -10,7 +10,8 @@
 //     around its own epoll instance; providers are plain std::functions that
 //     read the same snapshot interfaces every other observer uses
 //     (GetTelemetry and friends), so a request costs the dispatcher nothing
-//     beyond the snapshot mutex it already shares with MetricsSampler.
+//     beyond one more GetTelemetry() on the snapshot mutex, the same read
+//     each trace::MetricsSampler window makes.
 //   * Stay out of the way of real HTTP stacks. This is an introspection
 //     port, not a web server: HTTP/1.1, GET only, Connection: close, one
 //     read per request (a GET line fits in one segment from a local curl),

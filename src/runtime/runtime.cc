@@ -505,8 +505,10 @@ std::size_t Runtime::SlackBucket(std::uint64_t dispatch_tsc, std::uint64_t deadl
 
 // Window fold + retune for the adaptive policy (dispatcher-only; called from
 // CompleteRequest, so completion-pinning makes every field here
-// single-threaded). Mirrors trace::MetricsSampler's slowdown definition:
-// latency over the per-class minimum unpreempted service observed so far.
+// single-threaded). Slowdown here is latency over the per-class minimum
+// unpreempted service observed so far (service_floor_tsc_): an estimate of
+// trace::MetricsSampler's exact latency / service_tsc that needs no
+// per-request service stamp.
 void Runtime::AdaptiveQuantumOnCompletion(RuntimeRequest* request, std::uint64_t now_tsc) {
   if (adaptive_window_start_tsc_ == 0) {
     adaptive_window_start_tsc_ = now_tsc;

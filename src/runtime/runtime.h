@@ -92,7 +92,7 @@ class Runtime {
     // multiplicatively by the step and clamped to [quantum_us / adaptive_span,
     // quantum_us * adaptive_span].
     double adaptive_target_p99_slowdown = 4.0;
-    double adaptive_window_us = 10000.0;  // matches trace::MetricsSampler
+    double adaptive_window_us = 10000.0;  // the default metrics-sampler window
     double adaptive_step = 1.25;
     double adaptive_span = 4.0;
     // Pin dispatcher/workers to consecutive CPUs (best effort; skipped when
@@ -342,9 +342,12 @@ class Runtime {
   // EWMA of unpreempted service time per class (TSC ticks; 0 = no sample
   // yet): the approx-SRPT ordering key.
   std::array<std::uint64_t, kServiceClassSlots> srpt_estimate_tsc_{};
-  // Minimum unpreempted service per class (0 = none): the slowdown
-  // denominator the adaptive controller uses, mirroring
-  // trace::MetricsSampler's service-floor estimate.
+  // Minimum unpreempted service per class (0 = none): the adaptive
+  // controller's slowdown denominator. trace::MetricsSampler divides by each
+  // request's exact service_tsc instead; the controller keeps this estimate
+  // because a CONCORD_TELEMETRY=OFF build stamps no per-request service_tsc.
+  // (CompleteRequest currently folds it, and runs the controller, only in
+  // telemetry builds.)
   std::array<std::uint64_t, kServiceClassSlots> service_floor_tsc_{};
 
   // Adaptive-quantum controller state (dispatcher-owned; see Options).

@@ -32,7 +32,9 @@ std::string TraceOutPath(int argc, char** argv);
 std::string MetricsOutPath(int argc, char** argv);
 
 // `--metrics-window-ms=N` / CONCORD_METRICS_WINDOW_MS: sampler window length
-// in milliseconds; returns `fallback` when unset or unparsable.
+// in milliseconds; returns `fallback` when unset or unparsable. The binaries
+// start their sampler through trace::StartMetricsSampler, which reads it
+// (the helper lives in src/trace because this library sits below it).
 double MetricsWindowMs(int argc, char** argv, double fallback = 10.0);
 
 // Generic integer flag/env helper on top of OutPathFromFlagOrEnv: parses the

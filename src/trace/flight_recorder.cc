@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/stats/histogram.h"
 #include "src/telemetry/json.h"
 #include "src/trace/chrome_trace.h"
 
@@ -16,33 +15,22 @@ using telemetry::JsonValue;
 using telemetry::RequestLifecycle;
 using telemetry::TelemetrySnapshot;
 
-// Monotone count of lifecycles ever appended to the telemetry history (the
-// MetricsSampler derivation): worker completions arrive via ring drains,
-// dispatcher completions are appended directly.
-std::uint64_t HistoryAppends(const TelemetrySnapshot& snapshot) {
-  return snapshot.dispatcher.events_drained + snapshot.dispatcher.requests_completed;
-}
-
 std::string DumpFileName(const std::string& base, std::uint64_t index) {
   return index == 0 ? base : base + "." + std::to_string(index);
 }
 
 }  // namespace
 
-TraceCapture SynthesizeCaptureFromLifecycles(const FlightRecorderOptions& meta,
+TraceCapture SynthesizeCaptureFromLifecycles(TraceCapture meta,
                                              const std::vector<RequestLifecycle>& lifecycles,
                                              std::uint64_t evicted) {
-  TraceCapture capture;
+  TraceCapture capture = std::move(meta);
   capture.enabled = true;
-  capture.tsc_ghz = meta.tsc_ghz;
-  capture.worker_count = meta.worker_count;
-  capture.jbsq_depth = meta.jbsq_depth;
-  capture.quantum_us = meta.quantum_us;
-  capture.policy = meta.policy;
+  capture.records.clear();
   capture.ring_dropped = 0;
   capture.buffer_dropped = evicted;
-  if (meta.worker_count > 0) {
-    capture.ring_dropped_per_worker.assign(static_cast<std::size_t>(meta.worker_count), 0);
+  if (capture.worker_count > 0) {
+    capture.ring_dropped_per_worker.assign(static_cast<std::size_t>(capture.worker_count), 0);
   }
 
   // Raw records first; sequences are assigned per stream afterwards.
@@ -127,37 +115,20 @@ TraceCapture SynthesizeCaptureFromLifecycles(const FlightRecorderOptions& meta,
   return capture;
 }
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options, SnapshotFn snapshot)
-    : options_(std::move(options)), snapshot_fn_(std::move(snapshot)) {
-  CONCORD_CHECK(snapshot_fn_ != nullptr) << "flight recorder needs a snapshot provider";
-  CONCORD_CHECK(options_.poll_ms > 0.0) << "poll window must be positive";
+FlightRecorder::FlightRecorder(FlightRecorderOptions options) : options_(std::move(options)) {
+  meta_.jbsq_depth = options_.jbsq_depth;
+  meta_.quantum_us = options_.quantum_us;
 }
 
-FlightRecorder::~FlightRecorder() { Stop(); }
-
-void FlightRecorder::Start() {
-  CONCORD_CHECK(!started_) << "flight recorder already started";
-  started_ = true;
-  epoch_ = std::chrono::steady_clock::now();
-  previous_ = snapshot_fn_();
-  previous_appends_ = HistoryAppends(previous_);
-  thread_ = std::thread([this] { Loop(); });
+bool FlightRecorder::armed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return armed_;
 }
 
-void FlightRecorder::Stop() {
-  if (!started_ || stopped_) {
-    return;
-  }
-  stopped_ = true;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
-  thread_.join();
+void FlightRecorder::SetArmed(bool armed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  armed_ = armed;
 }
-
-bool FlightRecorder::armed() const { return started_ && !stopped_; }
 
 std::uint64_t FlightRecorder::dumps_written() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -184,122 +155,54 @@ std::uint64_t FlightRecorder::lifecycles_evicted() const {
   return evicted_;
 }
 
-std::vector<FlightWindowSample> FlightRecorder::RecentWindows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<FlightWindowSample>(windows_.begin(), windows_.end());
-}
-
-void FlightRecorder::Loop() {
-  const auto interval = std::chrono::duration<double, std::milli>(options_.poll_ms);
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  // concord-lint: allow-no-probe (background polling thread, never runs handler code)
-  while (!stop_requested_) {
-    if (stop_cv_.wait_for(lock, interval, [this] { return stop_requested_; })) {
-      break;
-    }
-    lock.unlock();
-    Poll();
-    lock.lock();
-  }
-}
-
-void FlightRecorder::Poll() {
-  const TelemetrySnapshot current = snapshot_fn_();
-  const TelemetrySnapshot delta = TelemetrySnapshot::Diff(previous_, current);
-
-  FlightWindowSample sample;
-  sample.at_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                           epoch_)
-                     .count();
-  sample.completed = delta.RequestsCompleted();
-  sample.ingress_rejected = delta.dispatcher.ingress_rejected;
-  sample.negative_slack_dispatches = delta.dispatcher.slack_histogram[0];
-  for (std::size_t b = 0; b < telemetry::kSlackBuckets; ++b) {
-    sample.deadline_dispatches += delta.dispatcher.slack_histogram[b];
-  }
-  sample.preempt_signals = delta.PreemptionsRequested();
-
-  // The fresh tail of the lifecycle history (exact, via the monotone append
-  // counters — the MetricsSampler derivation), scored for the window's p99
-  // latency/service ratio and pushed into the dump ring.
-  const std::uint64_t appends = HistoryAppends(current);
-  std::uint64_t fresh = appends - previous_appends_;
-  std::uint64_t overflowed = 0;
-  if (fresh > current.lifecycles.size()) {
-    overflowed = fresh - current.lifecycles.size();
-    fresh = current.lifecycles.size();
-  }
-  Histogram slowdowns;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    evicted_ += overflowed;  // completed but evicted from the telemetry history
-    for (std::size_t i = current.lifecycles.size() - static_cast<std::size_t>(fresh);
-         i < current.lifecycles.size(); ++i) {
-      const RequestLifecycle& lc = current.lifecycles[i];
-      ring_.push_back(lc);
-      if (ring_.size() > std::max<std::size_t>(options_.ring_capacity, 1)) {
-        ring_.pop_front();
-        ++evicted_;
-      }
-      const std::uint64_t latency = lc.complete_tsc > lc.arrival_tsc
-                                        ? lc.complete_tsc - lc.arrival_tsc
-                                        : (lc.finish_tsc > lc.arrival_tsc
-                                               ? lc.finish_tsc - lc.arrival_tsc
-                                               : 0);
-      if (lc.service_tsc > 0 && latency > 0) {
-        slowdowns.Record(std::max(
-            static_cast<double>(latency) / static_cast<double>(lc.service_tsc), 1.0));
-      }
-    }
-  }
-  sample.slowdown_samples = slowdowns.Count();
-  if (sample.slowdown_samples > 0) {
-    sample.p99_slowdown = slowdowns.Quantile(0.99);
-  }
-
+void FlightRecorder::OnWindow(const MetricsWindow& window, const TelemetrySnapshot& current,
+                              std::span<const RequestLifecycle> fresh, std::uint64_t missed) {
   // Trigger predicates, most specific first; one fire per window.
   std::string trigger;
   if (options_.deadline_miss_burst > 0 &&
-      sample.negative_slack_dispatches >= options_.deadline_miss_burst) {
-    trigger = "deadline_miss_burst: " + std::to_string(sample.negative_slack_dispatches) +
+      window.negative_slack_dispatches >= options_.deadline_miss_burst) {
+    trigger = "deadline_miss_burst: " + std::to_string(window.negative_slack_dispatches) +
               " negative-slack dispatch(es) in one window (threshold " +
               std::to_string(options_.deadline_miss_burst) + ")";
   } else if (options_.negative_slack_rate > 0.0 &&
-             sample.deadline_dispatches >= options_.negative_slack_min_samples &&
-             static_cast<double>(sample.negative_slack_dispatches) >=
+             window.deadline_dispatches >= options_.negative_slack_min_samples &&
+             static_cast<double>(window.negative_slack_dispatches) >=
                  options_.negative_slack_rate *
-                     static_cast<double>(sample.deadline_dispatches)) {
-    trigger = "negative_slack_rate: " + std::to_string(sample.negative_slack_dispatches) +
-              " of " + std::to_string(sample.deadline_dispatches) +
+                     static_cast<double>(window.deadline_dispatches)) {
+    trigger = "negative_slack_rate: " + std::to_string(window.negative_slack_dispatches) +
+              " of " + std::to_string(window.deadline_dispatches) +
               " deadline dispatch(es) past deadline";
   } else if (options_.ingress_reject_burst > 0 &&
-             sample.ingress_rejected >= options_.ingress_reject_burst) {
-    trigger = "ingress_backpressure: " + std::to_string(sample.ingress_rejected) +
+             window.ingress_rejected >= options_.ingress_reject_burst) {
+    trigger = "ingress_backpressure: " + std::to_string(window.ingress_rejected) +
               " rejected submit(s) in one window (threshold " +
               std::to_string(options_.ingress_reject_burst) + ")";
   } else if (options_.p99_slowdown > 0.0 &&
-             sample.slowdown_samples >= std::max<std::uint64_t>(options_.p99_min_samples, 1) &&
-             sample.p99_slowdown >= options_.p99_slowdown) {
+             window.slowdown_samples >= std::max<std::uint64_t>(options_.p99_min_samples, 1) &&
+             window.slowdown_p99 >= options_.p99_slowdown) {
     trigger = "p99_slowdown: window p99 latency/service " +
-              std::to_string(sample.p99_slowdown) + " (threshold " +
+              std::to_string(window.slowdown_p99) + " (threshold " +
               std::to_string(options_.p99_slowdown) + ")";
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    windows_.push_back(sample);
-    while (windows_.size() > std::max<std::size_t>(options_.state_ring_capacity, 1)) {
-      windows_.pop_front();
-    }
-    if (!trigger.empty()) {
-      ++triggers_fired_;
-      last_trigger_ = trigger;
-      DumpLocked(trigger);
+  std::lock_guard<std::mutex> lock(mu_);
+  meta_.tsc_ghz = current.tsc_ghz;
+  meta_.worker_count = static_cast<int>(current.workers.size());
+  meta_.policy = current.policy;
+  evicted_ += missed;  // completed but evicted from the telemetry history
+  for (const RequestLifecycle& lifecycle : fresh) {
+    ring_.push_back(lifecycle);
+    if (ring_.size() > std::max<std::size_t>(options_.ring_capacity, 1)) {
+      ring_.pop_front();
+      ++evicted_;
     }
   }
-
-  previous_ = current;
-  previous_appends_ = appends;
+  last_window_ = window;
+  if (!trigger.empty()) {
+    ++triggers_fired_;
+    last_trigger_ = trigger;
+    DumpLocked(trigger);
+  }
 }
 
 std::string FlightRecorder::DumpNow(const std::string& reason) {
@@ -314,7 +217,7 @@ std::string FlightRecorder::DumpLocked(const std::string& reason) {
     return std::string();
   }
   const std::vector<RequestLifecycle> window(ring_.begin(), ring_.end());
-  const TraceCapture capture = SynthesizeCaptureFromLifecycles(options_, window, evicted_);
+  const TraceCapture capture = SynthesizeCaptureFromLifecycles(meta_, window, evicted_);
   const std::string path = DumpFileName(options_.dump_path, dumps_written_);
   if (!WriteChromeTrace(capture, path)) {
     CONCORD_LOG(kInfo) << "flight recorder: failed to write dump to " << path;
@@ -329,8 +232,7 @@ std::string FlightRecorder::DumpLocked(const std::string& reason) {
 std::string FlightRecorder::StatusJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   JsonValue root = JsonValue::MakeObject();
-  root.Set("armed", JsonValue::MakeBool(started_ && !stopped_));
-  root.Set("poll_ms", JsonValue::MakeNumber(options_.poll_ms));
+  root.Set("armed", JsonValue::MakeBool(armed_));
   root.Set("ring_capacity", JsonValue::MakeUint(options_.ring_capacity));
   root.Set("lifecycles_buffered", JsonValue::MakeUint(ring_.size()));
   root.Set("lifecycles_evicted", JsonValue::MakeUint(evicted_));
@@ -345,18 +247,11 @@ std::string FlightRecorder::StatusJson() const {
   thresholds.Set("ingress_reject_burst", JsonValue::MakeUint(options_.ingress_reject_burst));
   thresholds.Set("p99_slowdown", JsonValue::MakeNumber(options_.p99_slowdown));
   root.Set("thresholds", std::move(thresholds));
-  if (!windows_.empty()) {
-    const FlightWindowSample& last = windows_.back();
-    JsonValue window = JsonValue::MakeObject();
-    window.Set("at_ms", JsonValue::MakeNumber(last.at_ms));
-    window.Set("completed", JsonValue::MakeUint(last.completed));
-    window.Set("ingress_rejected", JsonValue::MakeUint(last.ingress_rejected));
-    window.Set("negative_slack_dispatches",
-               JsonValue::MakeUint(last.negative_slack_dispatches));
-    window.Set("deadline_dispatches", JsonValue::MakeUint(last.deadline_dispatches));
-    window.Set("preempt_signals", JsonValue::MakeUint(last.preempt_signals));
-    window.Set("p99_slowdown", JsonValue::MakeNumber(last.p99_slowdown));
-    window.Set("slowdown_samples", JsonValue::MakeUint(last.slowdown_samples));
+  if (last_window_.has_value()) {
+    // The series entry, plus the two field names /flightz has always used.
+    JsonValue window = MetricsWindowJson(*last_window_);
+    window.Set("at_ms", JsonValue::MakeNumber(last_window_->start_ms + last_window_->duration_ms));
+    window.Set("p99_slowdown", JsonValue::MakeNumber(last_window_->slowdown_p99));
     root.Set("last_window", std::move(window));
   }
   return root.Dump();

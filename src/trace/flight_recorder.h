@@ -1,12 +1,11 @@
 // FlightRecorder: anomaly-triggered dump of the recent scheduling past
 // (docs/observability.md).
 //
-// While armed, a background thread polls a TelemetrySnapshot provider on a
-// fixed window (default 10 ms, the MetricsSampler cadence), maintains a
-// bounded ring of the most recent completed-request lifecycles plus a ring
-// of scheduler-state samples (completion/backpressure/slack deltas and the
-// window's exact p99 slowdown), and evaluates four trigger predicates on
-// the windowed deltas:
+// The recorder is a passive subscriber of a MetricsSampler (passed to the
+// sampler's constructor) and has no thread of its own. Every sampler window
+// hands it the window's counters and its freshly completed lifecycles; the
+// recorder keeps a bounded ring of the most recent lifecycles and evaluates
+// four trigger predicates on the window:
 //
 //   * deadline-miss burst: negative-slack dispatches (slack bucket 0) in one
 //     window reach a count threshold;
@@ -14,42 +13,36 @@
 //     were already past deadline reaches a rate threshold;
 //   * ingress backpressure: rejected Submit() calls in one window reach a
 //     count threshold;
-//   * p99 slowdown: the window's p99 of latency/service (both exact TSC,
-//     from the lifecycle stamps) reaches a ratio threshold.
+//   * p99 slowdown: the window's p99 slowdown (the sampler's exact
+//     latency/service) reaches a ratio threshold.
 //
 // When a trigger fires, the ring is synthesized into a valid concord.trace.v1
 // file (SynthesizeCaptureFromLifecycles) and written via WriteChromeTrace —
 // the last few milliseconds of scheduling history land on disk for offline
 // autopsy with concord_trace, captured *after* the anomaly, with tracing
-// itself never enabled. The hot paths are untouched: like MetricsSampler,
-// the recorder only reads what GetTelemetry() already exposes, from its own
-// thread — armed-but-idle overhead is one snapshot per window.
+// itself never enabled. The hot paths are untouched, and arming the recorder
+// adds no telemetry poll: it reuses the sampler's.
 
 #ifndef CONCORD_SRC_TRACE_FLIGHT_RECORDER_H_
 #define CONCORD_SRC_TRACE_FLIGHT_RECORDER_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/telemetry/telemetry.h"
 #include "src/trace/collector.h"
+#include "src/trace/metrics_sampler.h"
 
 namespace concord::trace {
 
 struct FlightRecorderOptions {
-  double poll_ms = 10.0;
-
   // Lifecycles kept armed (oldest evicted, counted); the dump window.
   std::size_t ring_capacity = 4096;
-  // Scheduler-state samples kept for /statusz introspection.
-  std::size_t state_ring_capacity = 256;
 
   // Trigger thresholds; zero disables a trigger. All evaluated per window.
   std::uint64_t deadline_miss_burst = 0;   // negative-slack dispatches
@@ -60,29 +53,15 @@ struct FlightRecorderOptions {
   std::uint64_t p99_min_samples = 32;
 
   // Dump destination; dump N > 0 appends ".N". At most max_dumps files are
-  // written per armed session (re-triggering past that only counts).
+  // written per recorder (re-triggering past that only counts).
   std::string dump_path = "flight.trace.json";
   std::size_t max_dumps = 4;
 
-  // Capture metadata stamped into dumps (Runtime::GetTrace() fills the same
-  // fields); zero/empty values degrade display, not validity.
-  double tsc_ghz = 0.0;
-  int worker_count = 0;
+  // Capture metadata stamped into dumps that the telemetry snapshot does not
+  // carry (tsc_ghz, worker count and policy come from the snapshot); zero
+  // values degrade display, not validity.
   int jbsq_depth = 0;
   double quantum_us = 0.0;
-  std::string policy;
-};
-
-// One windowed scheduler-state sample (the /statusz "recent past" view).
-struct FlightWindowSample {
-  double at_ms = 0.0;  // since Start()
-  std::uint64_t completed = 0;
-  std::uint64_t ingress_rejected = 0;
-  std::uint64_t negative_slack_dispatches = 0;
-  std::uint64_t deadline_dispatches = 0;  // all slack buckets
-  std::uint64_t preempt_signals = 0;
-  double p99_slowdown = 0.0;  // 0 when below min samples
-  std::uint64_t slowdown_samples = 0;
 };
 
 // Builds a valid concord.trace.v1 capture from completed-request lifecycles.
@@ -94,63 +73,55 @@ struct FlightWindowSample {
 // so the offline analyzer treats the file as accounted-lossy rather than
 // mis-stitched. Sequences are assigned densely per stream in producer-time
 // order, matching the collector's on-wire contract.
+// `meta` supplies the capture metadata (tsc_ghz, worker_count, jbsq_depth,
+// quantum_us, policy); its records and drop counts are replaced.
 TraceCapture SynthesizeCaptureFromLifecycles(
-    const FlightRecorderOptions& meta,
-    const std::vector<telemetry::RequestLifecycle>& lifecycles, std::uint64_t evicted);
+    TraceCapture meta, const std::vector<telemetry::RequestLifecycle>& lifecycles,
+    std::uint64_t evicted);
 
 class FlightRecorder {
  public:
-  using SnapshotFn = std::function<telemetry::TelemetrySnapshot()>;
-
-  FlightRecorder(FlightRecorderOptions options, SnapshotFn snapshot);
-  ~FlightRecorder();
+  explicit FlightRecorder(FlightRecorderOptions options);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Takes the baseline snapshot and launches the polling thread.
-  void Start();
-  // Joins the polling thread. Idempotent. Does not dump.
-  void Stop();
-
+  // True between the owning sampler's Start() and Stop().
   bool armed() const;
   std::uint64_t dumps_written() const;
   std::uint64_t triggers_fired() const;  // includes fires past max_dumps
   std::string last_trigger() const;      // empty until the first fire
   std::uint64_t lifecycles_buffered() const;
   std::uint64_t lifecycles_evicted() const;
-  std::vector<FlightWindowSample> RecentWindows() const;
 
   // Manual trigger: dump the current ring now (same max_dumps budget).
   // Returns the dump path, or empty when the budget is spent or I/O failed.
   std::string DumpNow(const std::string& reason);
 
-  // Trigger configuration + live status as JSON (served by /statusz).
+  // Trigger configuration + live status as JSON (served by /statusz and
+  // /flightz); `last_window` is the sampler's latest window.
   std::string StatusJson() const;
 
  private:
-  void Loop();
-  void Poll();
+  // The subscriber interface, called by the owning MetricsSampler only:
+  // arming at Start()/Stop(), and each window (on the sampler thread, or on
+  // the stopping thread for the final flush) with the snapshot it diffed and
+  // the lifecycles it scored; `missed` completed but left the telemetry
+  // history before the sampler saw them.
+  friend class MetricsSampler;
+  void SetArmed(bool armed);
+  void OnWindow(const MetricsWindow& window, const telemetry::TelemetrySnapshot& current,
+                std::span<const telemetry::RequestLifecycle> fresh, std::uint64_t missed);
+
   std::string DumpLocked(const std::string& reason);
 
   const FlightRecorderOptions options_;
-  const SnapshotFn snapshot_fn_;
-
-  std::thread thread_;
-  bool started_ = false;
-  bool stopped_ = false;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_requested_ = false;
-
-  // Poll state, touched only by the polling thread.
-  telemetry::TelemetrySnapshot previous_;
-  std::uint64_t previous_appends_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;  // guards everything below
+  bool armed_ = false;
+  TraceCapture meta_;  // dump metadata, refreshed from each window's snapshot
   std::deque<telemetry::RequestLifecycle> ring_;
-  std::deque<FlightWindowSample> windows_;
+  std::optional<MetricsWindow> last_window_;
   std::uint64_t evicted_ = 0;
   std::uint64_t dumps_written_ = 0;
   std::uint64_t triggers_fired_ = 0;

@@ -1,18 +1,22 @@
 #include "src/trace/metrics_sampler.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <span>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/stats/histogram.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/json.h"
+#include "src/trace/flight_recorder.h"
 
 namespace concord::trace {
 
 namespace {
 
 using telemetry::JsonValue;
+using telemetry::RequestLifecycle;
 using telemetry::TelemetrySnapshot;
 
 // Monotone count of lifecycles ever appended to the telemetry history:
@@ -26,8 +30,8 @@ std::uint64_t HistoryAppends(const TelemetrySnapshot& snapshot) {
 
 }  // namespace
 
-MetricsSampler::MetricsSampler(Options options, SnapshotFn snapshot)
-    : options_(std::move(options)), snapshot_fn_(std::move(snapshot)) {
+MetricsSampler::MetricsSampler(Options options, SnapshotFn snapshot, FlightRecorder* recorder)
+    : options_(std::move(options)), snapshot_fn_(std::move(snapshot)), recorder_(recorder) {
   CONCORD_CHECK(options_.window_ms > 0.0) << "metrics window must be positive";
   CONCORD_CHECK(snapshot_fn_ != nullptr) << "snapshot provider is required";
 }
@@ -41,48 +45,52 @@ void MetricsSampler::Start() {
   previous_ = snapshot_fn_();
   previous_appends_ = HistoryAppends(previous_);
   window_start_ms_ = 0.0;
-  thread_ = std::thread([this] { Loop(); });
+  if (recorder_ != nullptr) {
+    recorder_->SetArmed(true);
+  }
+  thread_ = std::jthread([this](std::stop_token stop) { Loop(stop); });
 }
 
 void MetricsSampler::Stop() {
-  if (!started_ || stopped_) {
+  if (!thread_.joinable()) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
+  thread_.request_stop();
   thread_.join();
   // Final partial window: whatever completed since the last tick still has
-  // to land in the series for the completed-count identity to hold.
+  // to land in the series (and the recorder's ring) for the completed-count
+  // identity to hold.
+  SampleWindow();
+  if (recorder_ != nullptr) {
+    recorder_->SetArmed(false);
+  }
+}
+
+bool MetricsSampler::StopAndWriteSeries(const std::string& path) {
+  Stop();
+  return path.empty() || WriteSeries(path);
+}
+
+void MetricsSampler::Loop(std::stop_token stop) {
+  std::mutex mu;
+  std::condition_variable_any wake;
+  std::unique_lock<std::mutex> lock(mu);
+  const auto window = std::chrono::duration<double, std::milli>(options_.window_ms);
+  // One window per wait; a stop request ends the wait at once, and Stop()
+  // flushes the final window itself after the join.
+  while (!wake.wait_for(lock, stop, window, [&stop] { return stop.stop_requested(); })) {
+    SampleWindow();
+  }
+}
+
+void MetricsSampler::SampleWindow() {
   const double now_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - epoch_)
           .count();
-  SampleWindow(now_ms);
-  MaybeWriteExposition();
-  stopped_ = true;
-}
-
-void MetricsSampler::Loop() {
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  for (;;) {
-    const auto window = std::chrono::duration<double, std::milli>(options_.window_ms);
-    if (stop_cv_.wait_for(lock, window, [this] { return stop_requested_; })) {
-      return;  // Stop() flushes the final window after the join
-    }
-    lock.unlock();
-    const double now_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - epoch_)
-            .count();
-    SampleWindow(now_ms);
-    MaybeWriteExposition();
-    lock.lock();
-  }
-}
-
-void MetricsSampler::SampleWindow(double now_ms) {
-  const TelemetrySnapshot current = snapshot_fn_();
+  TelemetrySnapshot current = snapshot_fn_();
+  // The history is read once, here; the diff and the next baseline need
+  // only the counters.
+  const std::vector<RequestLifecycle> history = std::exchange(current.lifecycles, {});
   const TelemetrySnapshot diff = TelemetrySnapshot::Diff(previous_, current);
 
   MetricsWindow window;
@@ -94,6 +102,11 @@ void MetricsSampler::SampleWindow(double now_ms) {
   window.preempt_yields = diff.PreemptionsHonored();
   window.dispatcher_quanta = diff.dispatcher.quanta_run;
   window.ring_dropped = diff.dispatcher.ring_dropped;
+  window.ingress_rejected = diff.dispatcher.ingress_rejected;
+  window.negative_slack_dispatches = diff.dispatcher.slack_histogram[0];
+  for (const std::uint64_t bucket : diff.dispatcher.slack_histogram) {
+    window.deadline_dispatches += bucket;
+  }
   window.jbsq_pushes.reserve(diff.workers.size());
   window.max_inflight.reserve(current.workers.size());
   for (const telemetry::WorkerSnapshot& worker : diff.workers) {
@@ -108,37 +121,22 @@ void MetricsSampler::SampleWindow(double now_ms) {
   // than the bounded history still holds, the overflow is counted, never
   // silently skipped.
   const std::uint64_t appends = HistoryAppends(current);
-  std::uint64_t fresh = appends - previous_appends_;
-  std::uint64_t missed = 0;
-  if (fresh > current.lifecycles.size()) {
-    missed = fresh - current.lifecycles.size();
-    fresh = current.lifecycles.size();
-  }
+  const std::uint64_t appended = appends - previous_appends_;
+  const auto fresh_count =
+      static_cast<std::size_t>(std::min<std::uint64_t>(appended, history.size()));
+  const std::uint64_t missed = appended - fresh_count;
+  const auto fresh = std::span<const RequestLifecycle>(history).last(fresh_count);
+  // The one slowdown definition, (complete_tsc - arrival_tsc) / service_tsc
+  // floored at 1. It skips the anatomy's full stamp-chain check, so a request
+  // whose worker stamps sit a few ticks off the dispatcher's (cross-core TSC
+  // skew) is still scored.
   Histogram slowdowns;
-  for (std::size_t i = current.lifecycles.size() - static_cast<std::size_t>(fresh);
-       i < current.lifecycles.size(); ++i) {
-    const telemetry::RequestLifecycle& lifecycle = current.lifecycles[i];
-    if (lifecycle.finish_tsc <= lifecycle.arrival_tsc ||
-        lifecycle.first_run_tsc < lifecycle.arrival_tsc || lifecycle.first_run_tsc == 0) {
-      continue;  // clock skew or incomplete record: not scorable
+  for (const RequestLifecycle& lc : fresh) {
+    if (lc.complete_tsc > lc.arrival_tsc && lc.service_tsc > 0) {
+      slowdowns.Record(std::max(static_cast<double>(lc.complete_tsc - lc.arrival_tsc) /
+                                    static_cast<double>(lc.service_tsc),
+                                1.0));
     }
-    const auto run_span = static_cast<double>(lifecycle.finish_tsc - lifecycle.first_run_tsc);
-    if (lifecycle.preemptions == 0 && run_span > 0.0) {
-      auto [it, inserted] = service_floor_tsc_.try_emplace(lifecycle.request_class, run_span);
-      if (!inserted && run_span < it->second) {
-        it->second = run_span;
-      }
-    }
-    const auto floor_it = service_floor_tsc_.find(lifecycle.request_class);
-    double service = floor_it != service_floor_tsc_.end() ? floor_it->second : run_span;
-    if (floor_it == service_floor_tsc_.end()) {
-      ++window.slowdown_unfloored;
-    }
-    if (service <= 0.0) {
-      continue;
-    }
-    const auto sojourn = static_cast<double>(lifecycle.finish_tsc - lifecycle.arrival_tsc);
-    slowdowns.Record(std::max(sojourn / service, 1.0));
   }
   window.slowdown_samples = slowdowns.Count();
   if (window.slowdown_samples > 0) {
@@ -147,24 +145,25 @@ void MetricsSampler::SampleWindow(double now_ms) {
     window.slowdown_p999 = slowdowns.Quantile(0.999);
   }
 
-  previous_ = current;
+  if (recorder_ != nullptr) {
+    recorder_->OnWindow(window, current, fresh, missed);
+  }
+  previous_ = std::move(current);
   previous_appends_ = appends;
   window_start_ms_ = now_ms;
 
-  std::lock_guard<std::mutex> lock(series_mu_);
-  missed_lifecycles_ += missed;
-  series_.push_back(std::move(window));
-  while (series_.size() > std::max<std::size_t>(options_.series_capacity, 1)) {
-    series_.pop_front();
-    ++dropped_windows_;
+  {
+    std::lock_guard<std::mutex> lock(series_mu_);
+    missed_lifecycles_ += missed;
+    series_.push_back(std::move(window));
+    while (series_.size() > std::max<std::size_t>(options_.series_capacity, 1)) {
+      series_.pop_front();
+      ++dropped_windows_;
+    }
   }
-}
-
-void MetricsSampler::MaybeWriteExposition() {
-  if (options_.exposition_path.empty()) {
-    return;
+  if (!options_.exposition_path.empty()) {
+    telemetry::WriteTextFileAtomic(ToPrometheusText(), options_.exposition_path, "metrics");
   }
-  telemetry::WriteTextFileAtomic(ToPrometheusText(), options_.exposition_path, "metrics");
 }
 
 std::vector<MetricsWindow> MetricsSampler::Windows() const {
@@ -182,6 +181,36 @@ std::uint64_t MetricsSampler::missed_lifecycles() const {
   return missed_lifecycles_;
 }
 
+JsonValue MetricsWindowJson(const MetricsWindow& window) {
+  JsonValue entry = JsonValue::MakeObject();
+  entry.Set("start_ms", JsonValue::MakeNumber(window.start_ms));
+  entry.Set("duration_ms", JsonValue::MakeNumber(window.duration_ms));
+  entry.Set("completed", JsonValue::MakeUint(window.completed));
+  entry.Set("throughput_rps", JsonValue::MakeNumber(window.throughput_rps));
+  entry.Set("slowdown_p50", JsonValue::MakeNumber(window.slowdown_p50));
+  entry.Set("slowdown_p99", JsonValue::MakeNumber(window.slowdown_p99));
+  entry.Set("slowdown_p999", JsonValue::MakeNumber(window.slowdown_p999));
+  entry.Set("slowdown_samples", JsonValue::MakeUint(window.slowdown_samples));
+  entry.Set("preempt_signals", JsonValue::MakeUint(window.preempt_signals));
+  entry.Set("preempt_yields", JsonValue::MakeUint(window.preempt_yields));
+  entry.Set("dispatcher_quanta", JsonValue::MakeUint(window.dispatcher_quanta));
+  entry.Set("ring_dropped", JsonValue::MakeUint(window.ring_dropped));
+  entry.Set("ingress_rejected", JsonValue::MakeUint(window.ingress_rejected));
+  entry.Set("negative_slack_dispatches", JsonValue::MakeUint(window.negative_slack_dispatches));
+  entry.Set("deadline_dispatches", JsonValue::MakeUint(window.deadline_dispatches));
+  JsonValue pushes = JsonValue::MakeArray();
+  for (std::uint64_t value : window.jbsq_pushes) {
+    pushes.MutableArray().push_back(JsonValue::MakeUint(value));
+  }
+  entry.Set("jbsq_pushes", std::move(pushes));
+  JsonValue inflight = JsonValue::MakeArray();
+  for (std::uint64_t value : window.max_inflight) {
+    inflight.MutableArray().push_back(JsonValue::MakeUint(value));
+  }
+  entry.Set("max_inflight", std::move(inflight));
+  return entry;
+}
+
 std::string MetricsSampler::ToJsonSeries() const {
   std::vector<MetricsWindow> windows = Windows();
   JsonValue root = JsonValue::MakeObject();
@@ -193,31 +222,7 @@ std::string MetricsSampler::ToJsonSeries() const {
   JsonValue series = JsonValue::MakeArray();
   for (const MetricsWindow& window : windows) {
     total_completed += window.completed;
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("start_ms", JsonValue::MakeNumber(window.start_ms));
-    entry.Set("duration_ms", JsonValue::MakeNumber(window.duration_ms));
-    entry.Set("completed", JsonValue::MakeUint(window.completed));
-    entry.Set("throughput_rps", JsonValue::MakeNumber(window.throughput_rps));
-    entry.Set("slowdown_p50", JsonValue::MakeNumber(window.slowdown_p50));
-    entry.Set("slowdown_p99", JsonValue::MakeNumber(window.slowdown_p99));
-    entry.Set("slowdown_p999", JsonValue::MakeNumber(window.slowdown_p999));
-    entry.Set("slowdown_samples", JsonValue::MakeUint(window.slowdown_samples));
-    entry.Set("slowdown_unfloored", JsonValue::MakeUint(window.slowdown_unfloored));
-    entry.Set("preempt_signals", JsonValue::MakeUint(window.preempt_signals));
-    entry.Set("preempt_yields", JsonValue::MakeUint(window.preempt_yields));
-    entry.Set("dispatcher_quanta", JsonValue::MakeUint(window.dispatcher_quanta));
-    entry.Set("ring_dropped", JsonValue::MakeUint(window.ring_dropped));
-    JsonValue pushes = JsonValue::MakeArray();
-    for (std::uint64_t value : window.jbsq_pushes) {
-      pushes.MutableArray().push_back(JsonValue::MakeUint(value));
-    }
-    entry.Set("jbsq_pushes", std::move(pushes));
-    JsonValue inflight = JsonValue::MakeArray();
-    for (std::uint64_t value : window.max_inflight) {
-      inflight.MutableArray().push_back(JsonValue::MakeUint(value));
-    }
-    entry.Set("max_inflight", std::move(inflight));
-    series.MutableArray().push_back(std::move(entry));
+    series.MutableArray().push_back(MetricsWindowJson(window));
   }
   root.Set("total_completed", JsonValue::MakeUint(total_completed));
   root.Set("windows", std::move(series));
@@ -292,6 +297,21 @@ std::string MetricsSampler::ToPrometheusText() const {
 
 bool MetricsSampler::WriteSeries(const std::string& path) const {
   return telemetry::WriteTextFile(ToJsonSeries(), path, "metrics series");
+}
+
+std::unique_ptr<MetricsSampler> StartMetricsSampler(int argc, char** argv,
+                                                    const std::string& metrics_out,
+                                                    MetricsSampler::SnapshotFn snapshot,
+                                                    FlightRecorder* recorder) {
+  MetricsSampler::Options options;
+  options.window_ms = telemetry::MetricsWindowMs(argc, argv);
+  if (!metrics_out.empty() && metrics_out != "-") {
+    options.exposition_path = metrics_out + ".prom";
+  }
+  auto sampler =
+      std::make_unique<MetricsSampler>(std::move(options), std::move(snapshot), recorder);
+  sampler->Start();
+  return sampler;
 }
 
 }  // namespace concord::trace

@@ -11,14 +11,16 @@
 //     complete request; preempted lifecycles truncate with their missing
 //     records declared in buffer_dropped; a corrupted stamp chain is caught
 //     by the analyzer's anatomy identity check.
-//   - FlightRecorder live: an injected deadline-miss burst (every request
-//     submitted with an already-expired deadline) must fire the trigger and
-//     dump a valid concord.trace.v1 file; DumpNow() honors the max_dumps
-//     budget; StatusJson() reports armed state and trigger counts.
+//   - FlightRecorder live, subscribed to a MetricsSampler: an injected
+//     deadline-miss burst (every request submitted with an already-expired
+//     deadline) must fire the trigger and dump a valid concord.trace.v1
+//     file; DumpNow() honors the max_dumps budget; StatusJson() reports
+//     armed state and trigger counts; the sampler's final flush at Stop()
+//     reaches the recorder, so a run shorter than one window dumps whole.
 //
-// Like the runtime suites these verify behaviour, not timing; the one
-// polling-dependent case (the live trigger) waits on the recorder's own
-// counters with a generous deadline instead of sleeping a fixed interval.
+// Like the runtime suites these verify behaviour, not timing; the
+// polling-dependent cases wait on the recorder's own counters with a
+// generous deadline instead of sleeping a fixed interval.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +44,7 @@
 #include "src/trace/analyzer.h"
 #include "src/trace/chrome_trace.h"
 #include "src/trace/flight_recorder.h"
+#include "src/trace/metrics_sampler.h"
 
 namespace concord {
 namespace {
@@ -158,8 +161,8 @@ RequestLifecycle MakeLifecycle(std::uint64_t id, std::uint64_t base, std::int32_
   return lifecycle;
 }
 
-trace::FlightRecorderOptions SynthesisMeta() {
-  trace::FlightRecorderOptions meta;
+trace::TraceCapture SynthesisMeta() {
+  trace::TraceCapture meta;
   meta.tsc_ghz = 2.0;
   meta.worker_count = 2;
   meta.jbsq_depth = 2;
@@ -228,6 +231,12 @@ TEST(FlightSynthesisTest, CorruptedStampChainFailsAnatomyIdentity) {
 // Live flight recorder
 // ---------------------------------------------------------------------------
 
+trace::MetricsSampler::Options SamplerOptions(double window_ms) {
+  trace::MetricsSampler::Options options;
+  options.window_ms = window_ms;
+  return options;
+}
+
 TEST(FlightRecorderTest, InjectedDeadlineMissBurstTriggersValidDump) {
   if constexpr (!telemetry::kEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
@@ -244,15 +253,13 @@ TEST(FlightRecorderTest, InjectedDeadlineMissBurstTriggersValidDump) {
   runtime.Start();
 
   trace::FlightRecorderOptions flight_options;
-  flight_options.poll_ms = 2.0;
   flight_options.deadline_miss_burst = 8;  // the injected anomaly's trigger
   flight_options.dump_path = dump_path;
-  flight_options.tsc_ghz = runtime.GetTelemetry().tsc_ghz;
-  flight_options.worker_count = options.worker_count;
   flight_options.quantum_us = options.quantum_us;
-  flight_options.policy = "concord-jbsq";
-  trace::FlightRecorder flight(flight_options, [&runtime] { return runtime.GetTelemetry(); });
-  flight.Start();
+  trace::FlightRecorder flight(flight_options);
+  trace::MetricsSampler sampler(SamplerOptions(2.0), [&runtime] { return runtime.GetTelemetry(); },
+                                &flight);
+  sampler.Start();
   EXPECT_TRUE(flight.armed());
 
   // The anomaly: a burst of requests whose deadlines are already expired at
@@ -272,7 +279,7 @@ TEST(FlightRecorderTest, InjectedDeadlineMissBurstTriggersValidDump) {
   while (flight.triggers_fired() == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  flight.Stop();
+  sampler.Stop();
   runtime.Shutdown();
 
   ASSERT_GE(flight.triggers_fired(), 1u) << "deadline-miss burst never fired";
@@ -307,13 +314,12 @@ TEST(FlightRecorderTest, DumpNowHonorsBudgetAndStatusJsonReportsState) {
   runtime.Start();
 
   trace::FlightRecorderOptions flight_options;  // every trigger disabled
-  flight_options.poll_ms = 2.0;
   flight_options.dump_path = dump_path;
   flight_options.max_dumps = 1;
-  flight_options.tsc_ghz = runtime.GetTelemetry().tsc_ghz;
-  flight_options.worker_count = options.worker_count;
-  trace::FlightRecorder flight(flight_options, [&runtime] { return runtime.GetTelemetry(); });
-  flight.Start();  // baseline first: only lifecycles completed while armed buffer
+  trace::FlightRecorder flight(flight_options);
+  trace::MetricsSampler sampler(SamplerOptions(2.0), [&runtime] { return runtime.GetTelemetry(); },
+                                &flight);
+  sampler.Start();  // baseline first: only lifecycles completed while armed buffer
 
   for (std::uint64_t i = 0; i < 16; ++i) {
     while (!runtime.Submit(i, 0, nullptr)) {
@@ -342,13 +348,59 @@ TEST(FlightRecorderTest, DumpNowHonorsBudgetAndStatusJsonReportsState) {
   EXPECT_NE(status.find("\"armed\": true"), std::string::npos) << status;
   // last_trigger tracks every fire, including the one past the dump budget.
   EXPECT_NE(status.find("manual: over budget"), std::string::npos) << status;
-  flight.Stop();
+  sampler.Stop();
+  EXPECT_FALSE(flight.armed());
   runtime.Shutdown();
 
   const trace::AnalyzerReport report =
       trace::AnalyzeChromeTraceFile(dump_path, trace::AnalyzerOptions{});
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? report.error
                                                          : report.violations.front());
+  std::remove(dump_path.c_str());
+}
+
+TEST(FlightRecorderTest, FinalWindowReachesTheRecorder) {
+  if constexpr (!telemetry::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  const std::string dump_path = testing::TempDir() + "/flight_final.trace.json";
+  std::remove(dump_path.c_str());
+
+  Runtime::Options options;
+  options.worker_count = 2;
+  options.quantum_us = 100.0;
+  Runtime::Callbacks callbacks;
+  callbacks.handle_request = [](const RequestView&) { SpinWithProbesUs(1.0); };
+  Runtime runtime(options, callbacks);
+  runtime.Start();
+
+  trace::FlightRecorderOptions flight_options;  // every trigger disabled
+  flight_options.dump_path = dump_path;
+  trace::FlightRecorder flight(flight_options);
+  // A window far longer than the run: no tick elapses, so every lifecycle
+  // reaches the recorder through Stop()'s final flush.
+  trace::MetricsSampler sampler(SamplerOptions(500.0),
+                                [&runtime] { return runtime.GetTelemetry(); }, &flight);
+  sampler.Start();
+  constexpr std::uint64_t kRequests = 1000;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    while (!runtime.Submit(i, 0, nullptr)) {
+      std::this_thread::yield();
+    }
+  }
+  runtime.WaitIdle();
+  sampler.Stop();
+  runtime.Shutdown();
+
+  EXPECT_EQ(flight.lifecycles_buffered(), kRequests);
+  EXPECT_EQ(flight.lifecycles_evicted(), 0u);
+  ASSERT_EQ(flight.DumpNow("after stop"), dump_path);
+  const trace::AnalyzerReport report =
+      trace::AnalyzeChromeTraceFile(dump_path, trace::AnalyzerOptions{});
+  EXPECT_TRUE(report.ok()) << (report.violations.empty() ? report.error
+                                                         : report.violations.front());
+  EXPECT_EQ(report.requests_total, kRequests);
+  EXPECT_EQ(report.requests_complete + report.requests_truncated, kRequests);
   std::remove(dump_path.c_str());
 }
 

@@ -3,10 +3,11 @@
 // trace-event export with exact TSC args, the offline analyzer's invariant
 // checks on both clean and deliberately corrupted traces, a live
 // runtime -> trace -> analyzer round trip, and the MetricsSampler's
-// windows-sum-to-total identity.
+// windows-sum-to-total identity and its one slowdown definition.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -16,12 +17,14 @@
 
 #include "src/runtime/instrument.h"
 #include "src/runtime/runtime.h"
+#include "src/stats/histogram.h"
 #include "src/telemetry/event_ring.h"
 #include "src/telemetry/json.h"
 #include "src/telemetry/telemetry.h"
 #include "src/trace/analyzer.h"
 #include "src/trace/chrome_trace.h"
 #include "src/trace/collector.h"
+#include "src/trace/flight_recorder.h"
 #include "src/trace/metrics_sampler.h"
 
 namespace concord::trace {
@@ -552,6 +555,94 @@ TEST(MetricsSamplerTest, WindowCompletionsSumExactlyToRunTotal) {
   // Scored lifecycles are bounded by completions; anything evicted before
   // scoring is counted, not silently skipped.
   EXPECT_LE(slowdown_samples + sampler.missed_lifecycles(), completed);
+}
+
+// One slowdown definition: each window's quantiles are exactly those of
+// max(1, (complete_tsc - arrival_tsc) / service_tsc) over the lifecycles appended
+// during that window, recomputed here from the same snapshots on a
+// preempting bimodal workload, and the subscribed flight recorder's
+// /flightz view reports the same p99.
+TEST(MetricsSamplerTest, WindowSlowdownIsLatencyOverServiceOfItsFreshLifecycles) {
+  if (!telemetry::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  constexpr int kRequests = 2000;
+  Runtime::Options options;
+  options.worker_count = 2;
+  options.quantum_us = 10.0;  // the 100 us requests are preempted
+  Runtime::Callbacks callbacks;
+  callbacks.handle_request = [](const RequestView& view) {
+    SpinWithProbesUs(view.request_class == 1 ? 100.0 : 1.0);
+  };
+  Runtime runtime(options, callbacks);
+  runtime.Start();
+
+  // Offline recomputation, fed by every snapshot the sampler takes: the
+  // first is the baseline, each later one closes a window. Only the sampler
+  // calls this, on its thread or (final flush) after joining it.
+  std::vector<Histogram> offline;
+  std::uint64_t offline_appends = 0;
+  bool baseline = true;
+  const auto snapshot = [&] {
+    telemetry::TelemetrySnapshot current = runtime.GetTelemetry();
+    const std::uint64_t appends =
+        current.dispatcher.events_drained + current.dispatcher.requests_completed;
+    if (!baseline) {
+      const std::size_t size = current.lifecycles.size();
+      const std::size_t fresh =
+          std::min<std::size_t>(static_cast<std::size_t>(appends - offline_appends), size);
+      Histogram slowdowns;
+      for (std::size_t i = size - fresh; i < size; ++i) {
+        const telemetry::RequestLifecycle& lc = current.lifecycles[i];
+        if (lc.complete_tsc > lc.arrival_tsc && lc.service_tsc > 0) {
+          slowdowns.Record(std::max(static_cast<double>(lc.complete_tsc - lc.arrival_tsc) /
+                                        static_cast<double>(lc.service_tsc),
+                                    1.0));
+        }
+      }
+      offline.push_back(slowdowns);
+    }
+    baseline = false;
+    offline_appends = appends;
+    return current;
+  };
+  FlightRecorder recorder(FlightRecorderOptions{});
+  MetricsSampler::Options sampler_options;
+  sampler_options.window_ms = 2.0;
+  MetricsSampler sampler(sampler_options, snapshot, &recorder);
+  sampler.Start();
+  // Driver loop in a test, not handler code. concord-lint: allow-no-probe
+  for (int i = 0; i < kRequests; ++i) {
+    while (!runtime.Submit(static_cast<std::uint64_t>(i), i % 10 == 9 ? 1 : 0, nullptr)) {
+      std::this_thread::yield();
+    }
+  }
+  runtime.WaitIdle();
+  sampler.Stop();
+  runtime.Shutdown();
+
+  const std::vector<MetricsWindow> windows = sampler.Windows();
+  ASSERT_EQ(windows.size(), offline.size());
+  ASSERT_EQ(sampler.missed_lifecycles(), 0u);
+  std::uint64_t scored = 0;
+  std::uint64_t yields = 0;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    EXPECT_EQ(windows[w].slowdown_samples, offline[w].Count()) << "window " << w;
+    EXPECT_DOUBLE_EQ(windows[w].slowdown_p50, offline[w].Quantile(0.50)) << "window " << w;
+    EXPECT_DOUBLE_EQ(windows[w].slowdown_p99, offline[w].Quantile(0.99)) << "window " << w;
+    EXPECT_DOUBLE_EQ(windows[w].slowdown_p999, offline[w].Quantile(0.999)) << "window " << w;
+    scored += windows[w].slowdown_samples;
+    yields += windows[w].preempt_yields;
+  }
+  EXPECT_EQ(scored, static_cast<std::uint64_t>(kRequests)) << "every request is scored once";
+  EXPECT_GT(yields, 0u) << "the bimodal workload must preempt";
+
+  telemetry::JsonValue status;
+  ASSERT_TRUE(telemetry::JsonValue::Parse(recorder.StatusJson(), &status));
+  const telemetry::JsonValue* last_window = status.Get("last_window");
+  ASSERT_NE(last_window, nullptr);
+  ASSERT_NE(last_window->Get("p99_slowdown"), nullptr);
+  EXPECT_DOUBLE_EQ(last_window->Get("p99_slowdown")->AsDouble(), windows.back().slowdown_p99);
 }
 
 TEST(MetricsSamplerTest, JsonSeriesAndPrometheusExpositionAreWellFormed) {
